@@ -21,12 +21,14 @@ from repro.accuracy.synthetic_lm import (
     TEMPERATURE,
     SyntheticLm,
     log_softmax,
+    target_logprob,
 )
 from repro.accuracy.tasks import (
     TABLE2_TASKS,
     TaskItem,
     TaskSpec,
     build_items,
+    choice_logprobs,
     sequence_logprob,
     task_accuracy,
 )
@@ -43,10 +45,12 @@ __all__ = [
     "TEMPERATURE",
     "SyntheticLm",
     "log_softmax",
+    "target_logprob",
     "TABLE2_TASKS",
     "TaskItem",
     "TaskSpec",
     "build_items",
+    "choice_logprobs",
     "sequence_logprob",
     "task_accuracy",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accuracy.synthetic_lm import TEMPERATURE, SyntheticLm, log_softmax
+from repro.accuracy.synthetic_lm import TEMPERATURE, SyntheticLm, target_logprob
 from repro.models.base import BaseLlm
 from repro.models.config import Family
 
@@ -25,8 +25,10 @@ def evaluate_perplexity(
     if tokens.ndim != 2 or tokens.shape[1] < skip + 2:
         raise ValueError("tokens must be (batch, seq+1) with seq > skip")
     logits = model.forward(tokens[:, :-1])
-    logp = log_softmax(logits, temperature)
-    nll = -np.take_along_axis(logp, tokens[:, 1:, None], axis=2)
+    targets = tokens[:, 1:]
+    nll = -target_logprob(
+        logits.reshape(targets.size, -1), targets.reshape(-1), temperature
+    ).reshape(targets.shape)
     return float(np.exp(nll[:, skip:].mean()))
 
 

@@ -49,6 +49,18 @@ def log_softmax(logits: np.ndarray, temperature: float = TEMPERATURE) -> np.ndar
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 
+def target_logprob(
+    logits: np.ndarray, targets: np.ndarray, temperature: float = TEMPERATURE
+) -> np.ndarray:
+    """``log_softmax(logits, temperature)[row, targets[row]]`` for every
+    row of (rows, vocab) logits, with :func:`log_softmax`'s operations but
+    without building the full log-softmax."""
+    z = logits / temperature
+    z -= z.max(axis=-1, keepdims=True)
+    picked = z[np.arange(len(targets)), targets]
+    return picked - np.log(np.sum(np.exp(z), axis=-1))
+
+
 def _amplify(model: BaseLlm, gain: float) -> BaseLlm:
     for layer in model.params["layers"]:
         layer["w_o"] = layer["w_o"] * gain

@@ -23,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.accuracy.synthetic_lm import SyntheticLm, log_softmax
+from repro.accuracy.synthetic_lm import SyntheticLm, log_softmax, target_logprob
 from repro.models.base import BaseLlm
 
 
@@ -127,17 +127,60 @@ def sequence_logprob(
     return float(per_pos[len(context) - 1:].sum())
 
 
+def choice_logprobs(
+    model: BaseLlm,
+    items: list[TaskItem],
+    temperature: float,
+) -> np.ndarray:
+    """Log-likelihood of every choice of every item, as (items, choices).
+
+    The items must share one context length and one choices shape.  Their
+    contexts run once, one row per item; the recurrent cache is then
+    forked once per choice and the continuations run as ``items *
+    choices`` rows.  Each step keeps only the targets' log-probs, never a
+    (batch, seq, vocab) logit tensor.  Matches :func:`sequence_logprob`
+    to float rounding (BLAS reduces a batch in a different order).
+    """
+    if not items:
+        raise ValueError("items must not be empty")
+    contexts = np.stack([item.context for item in items])
+    choices = np.stack([item.choices for item in items])
+    n_items, n_choices, cont_len = choices.shape
+    if contexts.shape[1] < 1 or cont_len < 1:
+        raise ValueError("contexts and continuations must be non-empty")
+    cache = model.init_cache(n_items)
+    for token in contexts.T:
+        logits = model.step(token, cache)
+    cache = model.fork_cache(cache, n_choices)
+    logits = np.repeat(logits, n_choices, axis=0)
+    targets = choices.reshape(n_items * n_choices, cont_len)
+    total = np.zeros(n_items * n_choices)
+    for t in range(cont_len):
+        total += target_logprob(logits, targets[:, t], temperature)
+        if t + 1 < cont_len:
+            logits = model.step(targets[:, t], cache)
+    return total.reshape(n_items, n_choices)
+
+
 def task_accuracy(
     model: BaseLlm,
     items: list[TaskItem],
     temperature: float,
 ) -> float:
-    """Fraction of items where the model ranks the true continuation first."""
-    correct = 0
+    """Fraction of items where the model ranks the true continuation first.
+
+    Items are scored in batches of one shape (context length and choices
+    shape), in order of each shape's first appearance.
+    """
+    if not items:
+        raise ValueError("items must not be empty")
+    by_shape: dict[tuple, list[TaskItem]] = {}
     for item in items:
-        scores = [
-            sequence_logprob(model, item.context, choice, temperature)
-            for choice in item.choices
-        ]
-        correct += int(np.argmax(scores) == item.answer)
+        key = (len(item.context), np.shape(item.choices))
+        by_shape.setdefault(key, []).append(item)
+    correct = 0
+    for group in by_shape.values():
+        scores = choice_logprobs(model, group, temperature)
+        answers = np.array([item.answer for item in group])
+        correct += int(np.sum(np.argmax(scores, axis=1) == answers))
     return correct / len(items)

@@ -16,7 +16,7 @@ import abc
 import numpy as np
 
 from repro.models.config import ModelSpec
-from repro.models.layers import rms_norm, swiglu_ffn
+from repro.models.layers import CausalConvState, rms_norm, swiglu_ffn
 from repro.models.state_update import StateUpdateOp
 from repro.quant.formats import StorageFormat
 
@@ -161,6 +161,21 @@ class BaseLlm(abc.ABC):
         x = rms_norm(x, params["final_norm"])
         return x @ params["embedding"].T
 
+    def fork_cache(self, cache: list[dict], n_copies: int) -> list[dict]:
+        """Independent copy of ``cache`` with every row repeated
+        ``n_copies`` times: row ``i`` becomes rows ``i * n_copies`` to
+        ``(i + 1) * n_copies - 1``, as ``np.repeat`` orders them.
+
+        Covers every cache entry the mixers keep: state arrays, KV lists
+        and :class:`CausalConvState` buffers.
+        """
+        if n_copies < 1:
+            raise ValueError("n_copies must be positive")
+        return [
+            {key: _fork_entry(value, n_copies) for key, value in layer.items()}
+            for layer in cache
+        ]
+
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """Teacher-forced pass over (batch, seq); returns (batch, seq, vocab)."""
         tokens = np.asarray(tokens)
@@ -180,3 +195,13 @@ class BaseLlm(abc.ABC):
             v = self.kv_format.quantize(v, rng=rng)
         cache["k"].append(k)
         cache["v"].append(v)
+
+
+def _fork_entry(value, n_copies: int):
+    if isinstance(value, np.ndarray):
+        return np.repeat(value, n_copies, axis=0)
+    if isinstance(value, list):
+        return [np.repeat(entry, n_copies, axis=0) for entry in value]
+    if isinstance(value, CausalConvState):
+        return value.fork(n_copies)
+    raise TypeError(f"cannot fork a cache entry of type {type(value).__name__}")

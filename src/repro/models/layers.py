@@ -8,6 +8,8 @@ attention over a KV cache.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 
@@ -70,6 +72,13 @@ class CausalConvState:
         self.buffer = np.roll(self.buffer, -1, axis=1)
         self.buffer[:, -1, :] = x
         return np.einsum("bwc,wc->bc", self.buffer, kernel)
+
+    def fork(self, n_copies: int) -> "CausalConvState":
+        """A new state whose buffer repeats each row ``n_copies`` times,
+        copies adjacent."""
+        out = copy.copy(self)
+        out.buffer = np.repeat(self.buffer, n_copies, axis=0)
+        return out
 
 
 def attention_step(

@@ -34,6 +34,14 @@ def state_update_step(
     Shapes: state (..., H, dh, ds); d scalar, (..., H) or (..., H, dh);
     k, q (..., H, dh); v (..., H, ds).
     """
+    new_state = _next_state(state, d, k, v)
+    return new_state, _state_output(new_state, q)
+
+
+def _next_state(
+    state: np.ndarray, d: np.ndarray | float, k: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """``d ⊙ S + k vᵀ`` with the decay broadcast by its rank."""
     d_arr = np.asarray(d, dtype=np.float64)
     if d_arr.ndim == state.ndim - 1:  # per-head vector gate
         decay = d_arr[..., :, None]
@@ -45,9 +53,12 @@ def state_update_step(
         raise ValueError(
             f"decay with {d_arr.ndim} dims does not match state with {state.ndim}"
         )
-    new_state = decay * state + k[..., :, None] * v[..., None, :]
-    y = np.einsum("...hs,...h->...s", new_state, q)
-    return new_state, y
+    return decay * state + k[..., :, None] * v[..., None, :]
+
+
+def _state_output(state: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The output GEMV ``Sᵀ q``."""
+    return np.einsum("...hs,...h->...s", state, q)
 
 
 class StateUpdateOp:
@@ -63,11 +74,6 @@ class StateUpdateOp:
         if state_format is not None and state_format.is_stochastic and rng is None:
             raise ValueError("stochastic storage formats need an rng")
 
-    def _store(self, state: np.ndarray) -> np.ndarray:
-        if self.state_format is None:
-            return state
-        return self.state_format.quantize(state, rng=self.rng)
-
     def __call__(
         self,
         state: np.ndarray,
@@ -77,10 +83,11 @@ class StateUpdateOp:
         q: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run one step; the returned state has been through storage."""
-        new_state, y = state_update_step(state, d, k, v, q)
-        new_state = self._store(new_state)
+        if self.state_format is None:
+            return state_update_step(state, d, k, v, q)
+        new_state = self.state_format.quantize(
+            _next_state(state, d, k, v), rng=self.rng
+        )
         # The output GEMV reads the *stored* state (it is computed from the
-        # row-buffer contents on hardware), so recompute y from it.
-        if self.state_format is not None:
-            y = np.einsum("...hs,...h->...s", new_state, q)
-        return new_state, y
+        # row-buffer contents on hardware).
+        return new_state, _state_output(new_state, q)

@@ -51,12 +51,16 @@ class MiniFloatFormat(StorageFormat):
         self.bits_per_value = float(1 + exp_bits + man_bits)
 
     def _step(self, x: np.ndarray) -> np.ndarray:
-        """Quantization step (ulp) of the bucket each element falls in."""
-        mag = np.abs(x)
-        with np.errstate(divide="ignore"):
-            e = np.floor(np.log2(np.where(mag > 0, mag, 1.0)))
-        e = np.clip(e, self.min_norm_exp, self.max_exp)
-        return np.exp2(e - self.man_bits)
+        """Quantization step (ulp) of the bucket each element falls in.
+
+        The bucket of a normal ``|x|`` is the largest integer ``e`` with
+        ``2**e <= |x|`` (``np.frexp`` gives it exactly), clipped to the
+        format's normal exponent range (zero quantizes to zero whatever
+        its step).
+        """
+        _, e = np.frexp(np.abs(x))
+        e = np.clip(e - 1, self.min_norm_exp, self.max_exp)
+        return np.ldexp(1.0, e - self.man_bits)
 
     def quantize(
         self, x: np.ndarray, rng: np.random.Generator | None = None

@@ -11,8 +11,9 @@ An element decodes as::
     value_i = mant_i * 2 ** (E - u_pair(i) - MANTISSA_BITS)
 
 with ``mant_i`` a signed integer, ``|mant_i| <= 63``.  The shared exponent
-``E`` is chosen so the largest group element has mantissa magnitude in
-(32, 64]; a pair whose own maximum is at least one octave below the group
+``E`` is the smallest with ``amax < 2**E``, so the largest group element
+scales to a mantissa magnitude in [32, 64) (rounding to 64 saturates at
+63); a pair whose own maximum is at least one octave below the group
 maximum sets its microexponent to 1, recovering one bit of precision.
 
 Two views are provided:
@@ -46,12 +47,20 @@ EXPONENT_BITS = 8
 EXPONENT_BIAS = 127
 EXPONENT_MIN = -EXPONENT_BIAS
 EXPONENT_MAX = (1 << EXPONENT_BITS) - 1 - EXPONENT_BIAS
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _group_exponent(amax: np.ndarray) -> np.ndarray:
-    """Shared exponent: smallest E with ``amax / 2**E <= 1`` (amax>0)."""
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log2(np.where(amax > 0, amax, 1.0))) + 1.0
+    """Shared exponent: the smallest integer E with ``amax < 2**E``.
+
+    ``np.frexp`` gives exactly that E for finite ``amax > 0``; float
+    ``log2`` rounds up within an ulp below a power of two, which makes
+    ``floor(log2(amax)) + 1`` one too large there.  An all-zero group
+    gets E = 1, an infinite one the field's maximum; the result is
+    clipped to the exponent field.
+    """
+    frac, e = np.frexp(np.minimum(amax, _FLOAT_MAX))
+    e += frac == 0
     return np.clip(e, EXPONENT_MIN, EXPONENT_MAX)
 
 
@@ -71,21 +80,31 @@ class Mx8Format(StorageFormat):
     ) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         padded, n = pad_to_group(x, GROUP_SIZE)
-        grouped = padded.reshape(*padded.shape[:-1], -1, GROUP_SIZE)
-
-        amax = np.max(np.abs(grouped), axis=-1, keepdims=True)
-        exp = _group_exponent(amax)
-
-        pairs = grouped.reshape(*grouped.shape[:-1], GROUP_SIZE // PAIR_SIZE, PAIR_SIZE)
-        pmax = np.max(np.abs(pairs), axis=-1, keepdims=True)
-        pexp = _group_exponent(pmax)
-        micro = np.clip(exp[..., None] - pexp, 0, 1)
-
-        scale = np.exp2(exp[..., None] - micro - MANTISSA_BITS)
-        mant = round_lattice(pairs / scale, self.rounding, rng)
-        mant = np.clip(mant, -MANTISSA_MAX, MANTISSA_MAX)
-        out = (mant * scale).reshape(padded.shape)
+        shift = _mantissa_shift(padded)
+        # ldexp by a power of two is exact; the noise of stochastic
+        # rounding is one draw over the padded tensor.
+        grid = np.ldexp(padded, shift)
+        mant = round_lattice(grid, self.rounding, rng)
+        np.clip(mant, -MANTISSA_MAX, MANTISSA_MAX, out=mant)
+        out = np.ldexp(mant, np.negative(shift, out=shift), out=mant)
         return out[..., :n] if n != padded.shape[-1] else out
+
+
+def _mantissa_shift(padded: np.ndarray) -> np.ndarray:
+    """Per-element ``MANTISSA_BITS - (E - micro)``: the power of two that
+    scales each value of ``padded`` (last axis a multiple of the group)
+    onto its integer mantissa grid."""
+    mag = np.abs(padded)
+    pmax = np.maximum(mag[..., 0::2], mag[..., 1::2])
+    del mag
+    # Group maxima by halving adjacent pair maxima: the groups are aligned
+    # powers of two, so no halving crosses a group boundary.
+    gmax = pmax
+    while gmax.shape[-1] * GROUP_SIZE > padded.shape[-1]:
+        gmax = np.maximum(gmax[..., 0::2], gmax[..., 1::2])
+    exp = np.repeat(_group_exponent(gmax), GROUP_SIZE // PAIR_SIZE, axis=-1)
+    micro = np.clip(exp - _group_exponent(pmax), 0, 1)
+    return np.repeat(MANTISSA_BITS - exp + micro, PAIR_SIZE, axis=-1)
 
 
 @dataclasses.dataclass

@@ -125,3 +125,75 @@ class TestSpecs:
     def test_state_values_per_layer(self):
         spec = spec_for("Mamba-2")
         assert spec.state_values_per_layer == 80 * 128 * 64
+
+
+def _entry_rows(value):
+    """The per-row arrays a cache entry holds (KV lists hold one per token)."""
+    if isinstance(value, list):
+        return value
+    return [getattr(value, "buffer", value)]
+
+
+class TestForkCache:
+    FORKED = [Family.GLA, Family.MAMBA2, Family.TRANSFORMER]
+
+    def _warm_cache(self, model, tokens):
+        cache = model.init_cache(batch=2)
+        for t in range(3):
+            model.step(tokens[:, t], cache)
+        return cache
+
+    @pytest.mark.parametrize("family", FORKED)
+    def test_fork_repeats_each_row_adjacently(self, family, tokens):
+        model = build_tiny(family)
+        cache = self._warm_cache(model, tokens)
+        forked = model.fork_cache(cache, 3)
+        for layer, new in zip(cache, forked):
+            assert layer.keys() == new.keys()
+            for key in layer:
+                for old, rep in zip(_entry_rows(layer[key]), _entry_rows(new[key])):
+                    np.testing.assert_array_equal(rep, np.repeat(old, 3, axis=0))
+
+    @pytest.mark.parametrize("family", FORKED)
+    def test_mutating_one_forked_row_leaves_the_others(self, family, tokens):
+        model = build_tiny(family)
+        cache = self._warm_cache(model, tokens)
+        forked = model.fork_cache(cache, 3)
+        before = [
+            {key: [a.copy() for a in _entry_rows(v)] for key, v in layer.items()}
+            for layer in forked
+        ]
+        original = [
+            {key: [a.copy() for a in _entry_rows(v)] for key, v in layer.items()}
+            for layer in cache
+        ]
+        for layer in forked:
+            for value in layer.values():
+                for rows in _entry_rows(value):
+                    rows[4] += 1.0
+        for layer, snap in zip(forked, before):
+            for key, value in layer.items():
+                for rows, old in zip(_entry_rows(value), snap[key]):
+                    np.testing.assert_array_equal(np.delete(rows, 4, 0),
+                                                  np.delete(old, 4, 0))
+                    assert not np.array_equal(rows[4], old[4])
+        for layer, snap in zip(cache, original):
+            for key, value in layer.items():
+                for rows, old in zip(_entry_rows(value), snap[key]):
+                    np.testing.assert_array_equal(rows, old)
+
+    @pytest.mark.parametrize("family", FORKED)
+    def test_forked_rows_continue_like_their_source(self, family, tokens):
+        model = build_tiny(family)
+        forked = model.fork_cache(self._warm_cache(model, tokens), 2)
+        logits = model.step(tokens[[0, 0, 1, 1], 3], forked)
+        want = model.forward(tokens[:, :4])[:, -1]
+        np.testing.assert_allclose(logits[::2], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits[1::2], want, rtol=0, atol=1e-12)
+
+    def test_bad_copy_count_and_entry_rejected(self):
+        model = build_tiny(Family.GLA)
+        with pytest.raises(ValueError):
+            model.fork_cache(model.init_cache(1), 0)
+        with pytest.raises(TypeError):
+            model.fork_cache([{"state": 1.0}], 2)

@@ -62,9 +62,10 @@ class TestStateUpdateOp:
         state = rng.normal(size=(2, 2, 8, 8))
         args = (rng.uniform(size=(2, 2)), rng.normal(size=(2, 2, 8)),
                 rng.normal(size=(2, 2, 8)), rng.normal(size=(2, 2, 8)))
-        got, _ = op(state, *args)
-        want, _ = state_update_step(state, *args)
+        got, got_y = op(state, *args)
+        want, want_y = state_update_step(state, *args)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_y, want_y)
 
     def test_quantized_state_is_on_lattice(self, rng):
         fmt = get_format("mx8")
@@ -90,4 +91,21 @@ class TestStateUpdateOp:
         new_state, y = op(state, d, k, v, q)
         np.testing.assert_allclose(
             y, np.einsum("bhds,bhd->bhs", new_state, q)
+        )
+
+    @pytest.mark.parametrize("name", ["mx8", "mx8SR", "e5m2SR", "int8"])
+    def test_stored_state_and_its_output_are_pinned(self, rng, name):
+        """A formatted step stores quantize(exact state) with one draw
+        from the op's stream, and reads y from the stored state."""
+        fmt = get_format(name)
+        state = rng.normal(size=(3, 2, 16, 24))
+        args = (rng.uniform(size=(3, 2, 16)), rng.normal(size=(3, 2, 16)),
+                rng.normal(size=(3, 2, 24)), rng.normal(size=(3, 2, 16)))
+        op = StateUpdateOp(fmt, np.random.default_rng(5))
+        got_state, got_y = op(state, *args)
+        exact, _ = state_update_step(state, *args)
+        want_state = fmt.quantize(exact, rng=np.random.default_rng(5))
+        np.testing.assert_array_equal(got_state, want_state)
+        np.testing.assert_array_equal(
+            got_y, np.einsum("bhds,bhd->bhs", want_state, args[3])
         )

@@ -29,7 +29,7 @@ def test_relative_error_bounded_by_mantissa_width():
     fmt = Mx8Format()
     x = rng.normal(size=(8, 128))
     q = fmt.quantize(x)
-    # Group max elements have mantissa in (32, 64]; worst relative error for
+    # Group max elements have mantissa in [32, 64); worst relative error for
     # the largest element of each group is one half ulp of a 6-bit mantissa.
     amax = np.max(np.abs(x.reshape(8, -1, GROUP_SIZE)), axis=-1)
     qmax_err = np.max(
@@ -110,3 +110,45 @@ class TestMxBlock:
         big = np.full(GROUP_SIZE, 1e30)
         block = MxBlock.encode(big)
         assert block.exp <= EXPONENT_MAX
+
+
+def _prechange_quantize(x, rounding, rng=None):
+    """``Mx8Format.quantize`` before it was fused, kept as its oracle:
+    ``floor(log2)`` exponents, separate group and pair reductions, and
+    division by ``exp2`` scales."""
+
+    def exponent(amax):
+        with np.errstate(divide="ignore"):
+            e = np.floor(np.log2(np.where(amax > 0, amax, 1.0))) + 1.0
+        return np.clip(e, -127, 128)
+
+    n = x.shape[-1]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, (-n) % GROUP_SIZE)])
+    grouped = padded.reshape(*padded.shape[:-1], -1, GROUP_SIZE)
+    exp = exponent(np.max(np.abs(grouped), axis=-1, keepdims=True))
+    pairs = grouped.reshape(*grouped.shape[:-1], GROUP_SIZE // 2, 2)
+    pexp = exponent(np.max(np.abs(pairs), axis=-1, keepdims=True))
+    micro = np.clip(exp[..., None] - pexp, 0, 1)
+    scale = np.exp2(exp[..., None] - micro - MANTISSA_BITS)
+    grid = pairs / scale
+    if rounding is RoundingMode.NEAREST:
+        mant = np.rint(grid)
+    else:
+        floor = np.floor(grid)
+        mant = floor + (rng.random(size=grid.shape) < grid - floor)
+    mant = np.clip(mant, -MANTISSA_MAX, MANTISSA_MAX)
+    return (mant * scale).reshape(padded.shape)[..., :n]
+
+
+@pytest.mark.parametrize("rounding", list(RoundingMode))
+@pytest.mark.parametrize(
+    "shape", [(48, 2, 64, 32), (1, 2, 64, 32), (3, 37), (5, 7, 16), (25,)]
+)
+def test_fused_quantizer_is_bit_equal_to_the_prechange_formula(shape, rounding):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    x = rng.normal(size=shape) * np.exp2(rng.integers(-40, 40, size=shape))
+    x[rng.random(shape) < 0.2] = 0.0  # zero elements and zero pairs
+    x.reshape(-1)[:GROUP_SIZE] = 0.0  # a whole zero group
+    got = Mx8Format(rounding).quantize(x, rng=np.random.default_rng(11))
+    want = _prechange_quantize(x, rounding, np.random.default_rng(11))
+    np.testing.assert_array_equal(got, want)
