@@ -13,14 +13,14 @@ from conftest import engine_runner, print_table, run_once
 
 from repro.serving.experiments import (
     SCALING_REPLICA_GRID,
-    scaling_assemble,
+    group_by,
     scaling_render,
     scaling_spec,
 )
 
 
 def _scaling_curves():
-    return scaling_assemble(engine_runner().run(scaling_spec()))
+    return group_by(engine_runner().run(scaling_spec()), "router", "replicas")
 
 
 def test_goodput_scales_with_replicas(benchmark):

@@ -24,18 +24,17 @@ from conftest import engine_runner, print_table, run_once
 from repro.serving.experiments import (
     CROSS_REPLICA_GRID,
     CROSS_REPLICA_ROUTERS,
-    cross_replica_prefix_assemble,
     cross_replica_prefix_render,
     cross_replica_prefix_spec,
+    group_by,
 )
 
 KNEE = 2  # replicas where one node saturates but the fleet does not
 
 
 def _tier_curves():
-    return cross_replica_prefix_assemble(
-        engine_runner().run(cross_replica_prefix_spec())
-    )
+    report = engine_runner().run(cross_replica_prefix_spec())
+    return group_by(report, "router", "replicas")
 
 
 def test_cache_aware_routing_wins_at_the_knee(benchmark):

@@ -25,9 +25,9 @@ from conftest import engine_runner, print_table, run_once
 from repro.serving.experiments import (
     DISAGG_FLEETS,
     DISAGG_QPS_GRID,
-    disaggregation_assemble,
     disaggregation_render,
     disaggregation_spec,
+    group_by,
 )
 
 COLOCATED = tuple(f for f in DISAGG_FLEETS if ":" not in f)
@@ -40,7 +40,7 @@ KNEE_QPS = (12.0, 16.0)
 
 
 def _fleet_curves():
-    return disaggregation_assemble(engine_runner().run(disaggregation_spec()))
+    return group_by(engine_runner().run(disaggregation_spec()), "nodes", "qps")
 
 
 def test_split_fleet_wins_past_the_knee(benchmark):

@@ -21,16 +21,15 @@ from conftest import engine_runner, print_table, run_once
 
 from repro.serving.experiments import (
     PAGED_QPS_GRID,
-    preemption_tradeoff_assemble,
+    group_by,
     preemption_tradeoff_render,
     preemption_tradeoff_spec,
 )
 
 
 def _tradeoff_curves():
-    return preemption_tradeoff_assemble(
-        engine_runner().run(preemption_tradeoff_spec())
-    )
+    report = engine_runner().run(preemption_tradeoff_spec())
+    return group_by(report, "scheduler", "qps")
 
 
 def test_paged_reservation_beats_full_context_at_a_thrashing_cost(benchmark):

@@ -21,14 +21,14 @@ from conftest import engine_runner, print_table, run_once
 
 from repro.serving.experiments import (
     PREFIX_QPS_GRID,
+    group_by,
     prefix_cache_spec,
-    prefix_reuse_assemble,
     prefix_reuse_render,
 )
 
 
 def _reuse_curves():
-    return prefix_reuse_assemble(engine_runner().run(prefix_cache_spec()))
+    return group_by(engine_runner().run(prefix_cache_spec()), "scheduler", "qps")
 
 
 def test_radix_cache_beats_paged_at_the_knee(benchmark):

@@ -10,7 +10,7 @@ from conftest import engine_runner, print_table, run_once
 
 from repro.serving.experiments import (
     SERVING_QPS_GRID,
-    serving_assemble,
+    group_by,
     serving_render,
     serving_spec,
 )
@@ -18,7 +18,7 @@ from repro.serving.experiments import (
 
 def _serving_curves():
     spec = serving_spec().with_axes(system=("GPU", "Pimba"))
-    return serving_assemble(engine_runner().run(spec))
+    return group_by(engine_runner().run(spec), "system", "qps")
 
 
 def test_pimba_dominates_gpu_latency_throughput(benchmark):

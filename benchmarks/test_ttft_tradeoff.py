@@ -13,14 +13,15 @@ from conftest import engine_runner, print_table, run_once
 
 from repro.serving.experiments import (
     CHUNK_BUDGET_GRID,
-    ttft_tradeoff_assemble,
+    group_by,
     ttft_tradeoff_render,
     ttft_tradeoff_spec,
 )
 
 
 def _tradeoff_curves():
-    return ttft_tradeoff_assemble(engine_runner().run(ttft_tradeoff_spec()))
+    report = engine_runner().run(ttft_tradeoff_spec())
+    return group_by(report, "system", "scheduler", "chunk_budget")
 
 
 def test_chunked_prefill_cuts_ttft_tail_at_a_tpot_cost(benchmark):

@@ -103,14 +103,18 @@ FIGURES: dict[str, Figure] = {
         name="latency_throughput",
         title="Latency-throughput: SLO metrics under rising load (per system)",
         spec=serving_experiments.serving_spec,
-        assemble=serving_experiments.serving_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "system", "qps"
+        ),
         render=serving_experiments.serving_render,
     ),
     "scaling": Figure(
         name="scaling",
         title="Cluster scaling: goodput and TTFT p99 vs replicas (per router)",
         spec=serving_experiments.scaling_spec,
-        assemble=serving_experiments.scaling_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "router", "replicas"
+        ),
         render=serving_experiments.scaling_render,
     ),
     "preemption_tradeoff": Figure(
@@ -120,7 +124,9 @@ FIGURES: dict[str, Figure] = {
             "latency lost to preemption thrashing (per policy and load)"
         ),
         spec=serving_experiments.preemption_tradeoff_spec,
-        assemble=serving_experiments.preemption_tradeoff_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "scheduler", "qps"
+        ),
         render=serving_experiments.preemption_tradeoff_render,
     ),
     "prefix_reuse": Figure(
@@ -130,7 +136,9 @@ FIGURES: dict[str, Figure] = {
             "paged-without-reuse over multi-turn chat (per session rate)"
         ),
         spec=serving_experiments.prefix_cache_spec,
-        assemble=serving_experiments.prefix_reuse_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "scheduler", "qps"
+        ),
         render=serving_experiments.prefix_reuse_render,
     ),
     "disaggregation": Figure(
@@ -140,7 +148,9 @@ FIGURES: dict[str, Figure] = {
             "under rising prefill-heavy load (per fleet)"
         ),
         spec=serving_experiments.disaggregation_spec,
-        assemble=serving_experiments.disaggregation_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "nodes", "qps"
+        ),
         render=serving_experiments.disaggregation_render,
     ),
     "cross_replica_prefix": Figure(
@@ -150,7 +160,9 @@ FIGURES: dict[str, Figure] = {
             "KV tier on multi-turn chat (per replica count)"
         ),
         spec=serving_experiments.cross_replica_prefix_spec,
-        assemble=serving_experiments.cross_replica_prefix_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "router", "replicas"
+        ),
         render=serving_experiments.cross_replica_prefix_render,
     ),
     "utilization_timeline": Figure(
@@ -170,7 +182,9 @@ FIGURES: dict[str, Figure] = {
             "grid (per system and scheduler)"
         ),
         spec=serving_experiments.ttft_tradeoff_spec,
-        assemble=serving_experiments.ttft_tradeoff_assemble,
+        assemble=lambda report: serving_experiments.group_by(
+            report, "system", "scheduler", "chunk_budget"
+        ),
         render=serving_experiments.ttft_tradeoff_render,
     ),
 }

@@ -26,6 +26,7 @@ Do not optimize this module.  Its slowness is its job.
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
@@ -34,7 +35,6 @@ from repro.serving.engine import EngineTrace, _PrefillCohort
 from repro.serving.metrics import (
     DEFAULT_SKETCH_CAPACITY,
     DepthSketch,
-    RequestTiming,
     ServingReport,
 )
 from repro.serving.schedulers import RunningRequest, Scheduler
@@ -57,6 +57,7 @@ class ReferenceEngine:
 
     def serve(self, trace: Trace) -> EngineTrace:
         """Run ``trace`` to completion and return the raw event record."""
+        self.scheduler.reset()
         budget = self.scheduler.chunk_budget
         pending = collections.deque(trace.requests)
         queue: list = []
@@ -77,25 +78,7 @@ class ReferenceEngine:
             # An empty trace serves to an empty record: zero span, no
             # events, the NaN-percentile report — exactly what one
             # replica of a cluster that routed it nothing produces.
-            return EngineTrace(
-                timings=(),
-                iteration_seconds=(),
-                decode_tokens=(),
-                prefill_seconds=(),
-                prefill_tokens=(),
-                start_s=0.0,
-                end_s=0.0,
-                mean_queue_depth=0.0,
-                max_queue_depth=0,
-                preemptions=0,
-                cache_hit_tokens=self.scheduler.cache_hit_tokens,
-                cache_miss_tokens=self.scheduler.cache_miss_tokens,
-                cache_evictions=self.scheduler.cache_evictions,
-                remote_hit_tokens=self.scheduler.remote_hit_tokens,
-                transferred_bytes=self.scheduler.transferred_bytes,
-                kv_transfers=self.scheduler.kv_transfers,
-                depth=DepthSketch(DEFAULT_SKETCH_CAPACITY),
-            )
+            return EngineTrace.empty()
 
         start = pending[0].arrival_s
         clock = start
@@ -343,21 +326,17 @@ class ReferenceEngine:
             depth_sketch.observe(cur_depth, depth_acc)
         end = clock
         timings = tuple(
-            RequestTiming(
-                request_id=r.timed.request_id,
-                input_len=r.input_len,
-                output_len=r.output_len,
-                arrival_s=r.timed.arrival_s,
-                admitted_s=r.admitted_s,
-                first_token_s=r.first_token_s,
-                finished_s=r.finished_s,
-                preemptions=r.preemptions,
-                cached_tokens=r.cached_tokens,
-                remote_tokens=r.remote_tokens,
-            )
+            r.timing()
             for r in sorted(finished, key=lambda r: r.timed.request_id)
         )
         span = max(end - start, 1e-12)
+        counters = dataclasses.replace(
+            self.scheduler.counters(),
+            preemptions=preemptions,
+            handoffs=handoffs,
+            handoff_bytes=handoff_bytes,
+            busy_s=(end - start) - idle_s,
+        )
         return EngineTrace(
             timings=timings,
             iteration_seconds=tuple(iterations),
@@ -368,17 +347,8 @@ class ReferenceEngine:
             end_s=end,
             mean_queue_depth=depth_area / span,
             max_queue_depth=max_depth,
-            preemptions=preemptions,
-            cache_hit_tokens=self.scheduler.cache_hit_tokens,
-            cache_miss_tokens=self.scheduler.cache_miss_tokens,
-            cache_evictions=self.scheduler.cache_evictions,
-            remote_hit_tokens=self.scheduler.remote_hit_tokens,
-            transferred_bytes=self.scheduler.transferred_bytes,
-            kv_transfers=self.scheduler.kv_transfers,
-            handoffs=handoffs,
-            handoff_bytes=handoff_bytes,
-            busy_s=(end - start) - idle_s,
             depth=depth_sketch,
+            **vars(counters),
         )
 
     def run(self, trace: Trace) -> ServingReport:

@@ -19,6 +19,7 @@ plus JSON save/load so measured traces can be replayed bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from collections.abc import Callable, Sequence
 
@@ -85,6 +86,11 @@ def empirical_lengths(pairs: Sequence[tuple[int, int]]) -> LengthSampler:
 # ---------------------------------------------------------------------------
 
 
+def _positive(x: float) -> bool:
+    """A usable rate or time: finite and > 0 (NaN fails both)."""
+    return math.isfinite(x) and x > 0
+
+
 def _trace_from_gaps(
     gaps: np.ndarray, lengths: LengthSampler, rng: np.random.Generator
 ) -> Trace:
@@ -103,8 +109,10 @@ def poisson_trace(
     seed: int = 0,
 ) -> Trace:
     """A Poisson arrival process at ``qps`` requests per second."""
-    if qps <= 0 or n_requests < 1:
-        raise ValueError("qps must be positive and n_requests >= 1")
+    if not _positive(qps) or n_requests < 1:
+        raise ValueError(
+            "qps must be positive and finite, and n_requests >= 1"
+        )
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / qps, size=n_requests)
     return _trace_from_gaps(gaps, lengths or fixed_lengths(), rng)
@@ -123,8 +131,10 @@ def gamma_trace(
     (shape ``1/cv**2 < 1``), the regime where tail latencies blow up first.
     ``cv = 1`` is exactly Poisson.
     """
-    if qps <= 0 or n_requests < 1 or cv <= 0:
-        raise ValueError("qps, n_requests and cv must be positive")
+    if not (_positive(qps) and _positive(cv)) or n_requests < 1:
+        raise ValueError(
+            "qps and cv must be positive and finite, and n_requests >= 1"
+        )
     rng = np.random.default_rng(seed)
     shape = 1.0 / cv**2
     gaps = rng.gamma(shape, scale=cv**2 / qps, size=n_requests)
@@ -162,10 +172,15 @@ def multiturn_chat_trace(
     ``j + 1`` arrives.  Requests are re-numbered 0..n-1 in arrival order
     (arrivals interleave across sessions).
     """
-    if session_qps <= 0 or n_sessions < 1 or turns < 1:
-        raise ValueError("session_qps, n_sessions and turns must be positive")
-    if first_input < 1 or user_tokens < 1 or output_len < 1 or think_s <= 0:
-        raise ValueError("token counts and think_s must be positive")
+    if not _positive(session_qps) or n_sessions < 1 or turns < 1:
+        raise ValueError(
+            "session_qps must be positive and finite, n_sessions and "
+            "turns positive"
+        )
+    if first_input < 1 or user_tokens < 1 or output_len < 1:
+        raise ValueError("token counts must be positive")
+    if not _positive(think_s):
+        raise ValueError("think_s must be positive and finite")
     rng = np.random.default_rng(seed)
     openings = np.cumsum(rng.exponential(1.0 / session_qps, size=n_sessions))
     rows: list[tuple[float, int, int, int]] = []

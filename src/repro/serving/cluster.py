@@ -29,12 +29,17 @@ from repro.models.config import ModelSpec
 from repro.perf.system import ServingSystem
 from repro.serving.costs import DEFAULT_LINK_GBPS, IterationCostModel
 from repro.serving.engine import EngineTrace, ServingEngine
-from repro.serving.memory import MemoryModel, SharedPrefixTier
+from repro.serving.memory import (
+    MemoryModel,
+    PrefixBlockPool,
+    SharedPrefixTier,
+)
 from repro.serving.metrics import (
     DEFAULT_SKETCH_CAPACITY,
     DepthSketch,
     EngineStats,
     RequestTiming,
+    RunCounters,
     ServingReport,
     SloSpec,
 )
@@ -51,36 +56,6 @@ from repro.serving.routing import (
 )
 from repro.serving.schedulers import build_scheduler
 from repro.workloads.requests import Request, TimedRequest, Trace
-
-
-def _empty_record(
-    sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-) -> EngineTrace:
-    """The record a run that dispatched nothing produced.
-
-    Byte-for-byte what the bare engine serves for an empty trace (zero
-    span, no events, fresh depth sketch), so the 1-replica equivalence
-    holds even when there was nothing to route.
-    """
-    return EngineTrace(
-        timings=(),
-        iteration_seconds=(),
-        decode_tokens=(),
-        prefill_seconds=(),
-        prefill_tokens=(),
-        start_s=0.0,
-        end_s=0.0,
-        mean_queue_depth=0.0,
-        max_queue_depth=0,
-        preemptions=0,
-        cache_hit_tokens=0,
-        cache_miss_tokens=0,
-        cache_evictions=0,
-        remote_hit_tokens=0,
-        transferred_bytes=0.0,
-        kv_transfers=0,
-        depth=DepthSketch(sketch_capacity),
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,7 +214,7 @@ class ClusterTrace:
             # Empty trace: nothing was dispatched anywhere.  Fold to the
             # bare engine's empty record, not an error, so the cluster
             # and the engine agree on the degenerate input too.
-            return _empty_record()
+            return EngineTrace.empty()
         if len(active) == 1 and not self.split_ids:
             return active[0]
         timings: list[RequestTiming] = [
@@ -273,17 +248,8 @@ class ClusterTrace:
             end_s=end,
             mean_queue_depth=depth_area / span,
             max_queue_depth=max(t.max_queue_depth for t in active),
-            preemptions=sum(t.preemptions for t in active),
-            cache_hit_tokens=sum(t.cache_hit_tokens for t in active),
-            cache_miss_tokens=sum(t.cache_miss_tokens for t in active),
-            cache_evictions=sum(t.cache_evictions for t in active),
-            remote_hit_tokens=sum(t.remote_hit_tokens for t in active),
-            transferred_bytes=sum(t.transferred_bytes for t in active),
-            kv_transfers=sum(t.kv_transfers for t in active),
-            handoffs=sum(t.handoffs for t in active),
-            handoff_bytes=sum(t.handoff_bytes for t in active),
-            busy_s=sum(t.busy_s for t in active),
             depth=DepthSketch.merge(depths) if depths else None,
+            **vars(RunCounters.sum(active)),
         )
 
     def report(
@@ -385,6 +351,16 @@ class ClusterEngine:
     def n_replicas(self) -> int:
         return len(self.replicas)
 
+    def _reset(self) -> None:
+        """A reused cluster must serve like a fresh one: forget the
+        router's state and the shared tier's publishes (each replica
+        resets its own scheduler when it serves)."""
+        self.router.reset()
+        for engine in self.replicas:
+            pool = getattr(engine.scheduler, "pool", None)
+            if isinstance(pool, PrefixBlockPool) and pool.tier is not None:
+                pool.tier.reset()
+
     def serve(
         self, trace: Trace, collector: "Collector | None" = None
     ) -> ClusterTrace:
@@ -397,7 +373,7 @@ class ClusterEngine:
         """
         if self.split:
             return self._serve_split(trace, collector)
-        self.router.reset()  # a reused engine must route like a fresh one
+        self._reset()
         assignments = self.router.assign(trace)
         parts = trace.partition(assignments)
         return ClusterTrace(
@@ -431,7 +407,7 @@ class ClusterEngine:
         disjoint, so every replica still runs exactly once.
         """
         assert isinstance(self.router, DisaggregatedRouter)
-        self.router.reset()
+        self._reset()
         pairs = self.router.assign_pairs(trace)
         stage1: dict[int, list[TimedRequest]] = {}
         split_pair: dict[int, tuple[int, int]] = {}
@@ -553,7 +529,7 @@ class ClusterEngine:
             return self._serve_split(trace, collector).report(
                 sketch_capacity
             )
-        self.router.reset()  # a reused engine must route like a fresh one
+        self._reset()
         assignments = self.router.assign(trace)
         parts = trace.partition(assignments)
         stats = tuple(
@@ -572,7 +548,8 @@ class ClusterEngine:
         else:
             # Empty trace: same NaN-percentile report the bare engine's
             # streaming path returns for an empty trace.
-            merged = _empty_record(sketch_capacity).stats().report()
+            empty = EngineTrace.empty(sketch_capacity)
+            merged = empty.stats(sketch_capacity).report()
         fields = {
             f.name: getattr(merged, f.name)
             for f in dataclasses.fields(ServingReport)

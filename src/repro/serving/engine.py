@@ -72,6 +72,7 @@ from repro.serving.metrics import (
     EngineStats,
     RequestStats,
     RequestTiming,
+    RunCounters,
     ServingReport,
 )
 from repro.serving.schedulers import RunningRequest, Scheduler
@@ -88,8 +89,12 @@ _MAX_RUN_STEPS = 4096
 
 
 @dataclasses.dataclass(frozen=True)
-class EngineTrace:
-    """Raw outcome of one engine run (before metric aggregation)."""
+class EngineTrace(RunCounters):
+    """Raw outcome of one engine run (before metric aggregation).
+
+    The run counters are inherited from
+    :class:`~repro.serving.metrics.RunCounters`.
+    """
 
     timings: tuple[RequestTiming, ...]
     iteration_seconds: tuple[float, ...]  #: every iteration that decoded
@@ -100,25 +105,29 @@ class EngineTrace:
     end_s: float  #: last completion
     mean_queue_depth: float
     max_queue_depth: int
-    preemptions: int = 0  #: paged evictions (each implies one restore)
-    #: prefix-cache counters (all zero for schedulers without a cache)
-    cache_hit_tokens: int = 0
-    cache_miss_tokens: int = 0
-    cache_evictions: int = 0
-    #: shared-tier counters (all zero without a cross-replica tier)
-    remote_hit_tokens: int = 0
-    transferred_bytes: float = 0.0
-    kv_transfers: int = 0
-    #: disaggregation counters: prefill→decode KV handoffs this engine
-    #: *received* (all zero without a phase-split cluster upstream)
-    handoffs: int = 0
-    handoff_bytes: float = 0.0
-    #: seconds the engine spent pricing work (makespan minus arrival
-    #: idle) — the numerator of a replica's utilization
-    busy_s: float = 0.0
     #: time-weighted queue-depth sketch (p50/p99); optional so that
     #: hand-built traces in tests stay valid without one
     depth: DepthSketch | None = None
+
+    @classmethod
+    def empty(
+        cls, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY
+    ) -> "EngineTrace":
+        """What an empty trace serves to: zero span, no events, a fresh
+        depth sketch (also a cluster's record when nothing was routed,
+        so the 1-replica equivalence holds on the degenerate input)."""
+        return cls(
+            timings=(),
+            iteration_seconds=(),
+            decode_tokens=(),
+            prefill_seconds=(),
+            prefill_tokens=(),
+            start_s=0.0,
+            end_s=0.0,
+            mean_queue_depth=0.0,
+            max_queue_depth=0,
+            depth=DepthSketch(sketch_capacity),
+        )
 
     @property
     def makespan_s(self) -> float:
@@ -139,17 +148,8 @@ class EngineTrace:
             max_queue_depth=self.max_queue_depth,
             n_iterations=len(self.iteration_seconds),
             n_prefills=len(self.prefill_seconds),
-            preemptions=self.preemptions,
             depth=self.depth,
-            cache_hit_tokens=self.cache_hit_tokens,
-            cache_miss_tokens=self.cache_miss_tokens,
-            cache_evictions=self.cache_evictions,
-            remote_hit_tokens=self.remote_hit_tokens,
-            transferred_bytes=self.transferred_bytes,
-            kv_transfers=self.kv_transfers,
-            handoffs=self.handoffs,
-            handoff_bytes=self.handoff_bytes,
-            busy_s=self.busy_s,
+            **vars(self.counters()),
         )
 
     def report(self) -> ServingReport:
@@ -227,20 +227,7 @@ class _StatsRecorder:
         self.n_iterations += len(dts)
 
     def finish(self, request: RunningRequest) -> None:
-        self.requests.observe(
-            RequestTiming(
-                request_id=request.timed.request_id,
-                input_len=request.input_len,
-                output_len=request.output_len,
-                arrival_s=request.timed.arrival_s,
-                admitted_s=request.admitted_s,
-                first_token_s=request.first_token_s,
-                finished_s=request.finished_s,
-                preemptions=request.preemptions,
-                cached_tokens=request.cached_tokens,
-                remote_tokens=request.remote_tokens,
-            )
-        )
+        self.requests.observe(request.timing())
 
 
 class ServingEngine:
@@ -290,49 +277,26 @@ class ServingEngine:
         priced event, every timestamp — is identical with or without one.
         """
         recorder = _TraceRecorder()
-        (
-            start, end, depth_area, max_depth, preemptions, depth,
-            handoffs, handoff_bytes, idle_s,
-        ) = self._serve(trace, recorder, collector)
-        timings = tuple(
-            RequestTiming(
-                request_id=r.timed.request_id,
-                input_len=r.input_len,
-                output_len=r.output_len,
-                arrival_s=r.timed.arrival_s,
-                admitted_s=r.admitted_s,
-                first_token_s=r.first_token_s,
-                finished_s=r.finished_s,
-                preemptions=r.preemptions,
-                cached_tokens=r.cached_tokens,
-                remote_tokens=r.remote_tokens,
-            )
-            for r in sorted(
-                recorder.finished, key=lambda r: r.timed.request_id
-            )
+        start, end, mean_depth, max_depth, depth, counters = self._serve(
+            trace, recorder, collector
         )
-        span = max(end - start, 1e-12)
         return EngineTrace(
-            timings=timings,
+            timings=tuple(
+                r.timing()
+                for r in sorted(
+                    recorder.finished, key=lambda r: r.timed.request_id
+                )
+            ),
             iteration_seconds=tuple(recorder.iterations),
             decode_tokens=tuple(recorder.decode_tokens),
             prefill_seconds=tuple(recorder.prefills),
             prefill_tokens=tuple(recorder.prefill_tokens),
             start_s=start,
             end_s=end,
-            mean_queue_depth=depth_area / span,
+            mean_queue_depth=mean_depth,
             max_queue_depth=max_depth,
-            preemptions=preemptions,
-            cache_hit_tokens=self.scheduler.cache_hit_tokens,
-            cache_miss_tokens=self.scheduler.cache_miss_tokens,
-            cache_evictions=self.scheduler.cache_evictions,
-            remote_hit_tokens=self.scheduler.remote_hit_tokens,
-            transferred_bytes=self.scheduler.transferred_bytes,
-            kv_transfers=self.scheduler.kv_transfers,
-            handoffs=handoffs,
-            handoff_bytes=handoff_bytes,
-            busy_s=(end - start) - idle_s,
             depth=depth,
+            **vars(counters),
         )
 
     def serve_stats(
@@ -352,30 +316,19 @@ class ServingEngine:
         above it, latency percentiles come from the seeded sample.
         """
         recorder = _StatsRecorder(sketch_capacity)
-        (
-            start, end, depth_area, max_depth, preemptions, depth,
-            handoffs, handoff_bytes, idle_s,
-        ) = self._serve(trace, recorder, collector, sketch_capacity)
-        span = max(end - start, 1e-12)
+        start, end, mean_depth, max_depth, depth, counters = self._serve(
+            trace, recorder, collector, sketch_capacity
+        )
         return EngineStats(
             requests=recorder.requests,
             start_s=start,
             end_s=end,
-            mean_queue_depth=depth_area / span,
+            mean_queue_depth=mean_depth,
             max_queue_depth=max_depth,
             n_iterations=recorder.n_iterations,
             n_prefills=recorder.n_prefills,
-            preemptions=preemptions,
             depth=depth,
-            cache_hit_tokens=self.scheduler.cache_hit_tokens,
-            cache_miss_tokens=self.scheduler.cache_miss_tokens,
-            cache_evictions=self.scheduler.cache_evictions,
-            remote_hit_tokens=self.scheduler.remote_hit_tokens,
-            transferred_bytes=self.scheduler.transferred_bytes,
-            kv_transfers=self.scheduler.kv_transfers,
-            handoffs=handoffs,
-            handoff_bytes=handoff_bytes,
-            busy_s=(end - start) - idle_s,
+            **vars(counters),
         )
 
     def run(
@@ -390,12 +343,12 @@ class ServingEngine:
         rec,
         col: "Collector | None" = None,
         sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-    ) -> tuple[
-        float, float, float, int, int, DepthSketch, int, float, float
-    ]:
-        """The event loop; returns (start, end, depth_area, max_depth,
-        preemptions, depth_sketch, handoffs, handoff_bytes, idle_s) and
-        emits events through ``rec``."""
+    ) -> tuple[float, float, float, int, DepthSketch, RunCounters]:
+        """The event loop; returns (start, end, mean_queue_depth,
+        max_depth, depth_sketch, counters) and emits events through
+        ``rec``.  Starts from a reset scheduler, so a reused engine
+        serves exactly like a fresh one."""
+        self.scheduler.reset()
         budget = self.scheduler.chunk_budget
         coalesce = self._coalesce
         #: one bool gates every telemetry touch on the hot path
@@ -414,10 +367,8 @@ class ServingEngine:
             # An empty trace serves to an empty record: zero span, no
             # events, the NaN-percentile report — exactly what one
             # replica of a cluster that routed it nothing produces.
-            return (
-                0.0, 0.0, 0.0, 0, 0, DepthSketch(sketch_capacity),
-                0, 0.0, 0.0,
-            )
+            counters = self.scheduler.counters()
+            return 0.0, 0.0, 0.0, 0, DepthSketch(sketch_capacity), counters
 
         start = pending[0].arrival_s
         clock = start
@@ -443,6 +394,16 @@ class ServingEngine:
             depth_area += len(queue) * dt
             depth_acc += dt
             clock += dt
+
+        def gauge() -> None:
+            """Sample the gauges at a batch-composition event."""
+            c = self.scheduler.counters()
+            col.gauge(
+                clock, len(queue), len(running),
+                self.scheduler.blocks_in_use, preemptions,
+                c.cache_hit_tokens, c.cache_miss_tokens, c.cache_evictions,
+                c.remote_hit_tokens, c.transferred_bytes,
+            )
 
         def generate(members: list[RunningRequest]) -> int:
             """One decode token per unfinished member, stamped at ``clock``."""
@@ -517,15 +478,7 @@ class ServingEngine:
                         col.prefill_span(
                             t0, clock, context - cached, (head,), "restore"
                         )
-                        col.gauge(
-                            clock, len(queue), len(running),
-                            self.scheduler.blocks_in_use, preemptions,
-                            self.scheduler.cache_hit_tokens,
-                            self.scheduler.cache_miss_tokens,
-                            self.scheduler.cache_evictions,
-                            self.scheduler.remote_hit_tokens,
-                            self.scheduler.transferred_bytes,
-                        )
+                        gauge()
                     continue
                 admitted_n = 0
             else:
@@ -602,15 +555,7 @@ class ServingEngine:
                         # prompt is streamed by the chunk iterations below.
                         cohorts.append(_PrefillCohort(fresh, cohort_input))
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge()
                 continue
 
             if cohorts:
@@ -656,15 +601,7 @@ class ServingEngine:
                         r.prefilled = True
                     cohorts.popleft()
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge()
                 continue
 
             if running and coalesce:
@@ -736,15 +673,7 @@ class ServingEngine:
                     else:
                         running = [r for r in running if not r.done]
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge()
                 continue
 
             if running:
@@ -767,15 +696,7 @@ class ServingEngine:
                         col.preempt(clock, victims)
                     if not running:
                         if tel:
-                            col.gauge(
-                                clock, len(queue), 0,
-                                self.scheduler.blocks_in_use, preemptions,
-                                self.scheduler.cache_hit_tokens,
-                                self.scheduler.cache_miss_tokens,
-                                self.scheduler.cache_evictions,
-                                self.scheduler.remote_hit_tokens,
-                                self.scheduler.transferred_bytes,
-                            )
+                            gauge()
                         continue
                 batch, seq = self.scheduler.iteration_shape(running)
                 dt = self.cost.decode_seconds(batch, seq)
@@ -791,15 +712,7 @@ class ServingEngine:
                 else:
                     running = [r for r in running if not r.done]
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge()
                 continue
 
             if pending:
@@ -807,15 +720,7 @@ class ServingEngine:
                 advance(dt)
                 idle_s += dt
                 if tel:
-                    col.gauge(
-                        clock, len(queue), len(running),
-                        self.scheduler.blocks_in_use, preemptions,
-                        self.scheduler.cache_hit_tokens,
-                        self.scheduler.cache_miss_tokens,
-                        self.scheduler.cache_evictions,
-                        self.scheduler.remote_hit_tokens,
-                        self.scheduler.transferred_bytes,
-                    )
+                    gauge()
                 continue
 
             raise RuntimeError(
@@ -826,7 +731,12 @@ class ServingEngine:
 
         if depth_acc > 0.0:
             depth_sketch.observe(cur_depth, depth_acc)
-        return (
-            start, clock, depth_area, max_depth, preemptions, depth_sketch,
-            handoffs, handoff_bytes, idle_s,
+        counters = dataclasses.replace(
+            self.scheduler.counters(),
+            preemptions=preemptions,
+            handoffs=handoffs,
+            handoff_bytes=handoff_bytes,
+            busy_s=(clock - start) - idle_s,
         )
+        span = max(clock - start, 1e-12)
+        return start, clock, depth_area / span, max_depth, depth_sketch, counters

@@ -323,11 +323,16 @@ def serving_spec(smoke: bool = False) -> ExperimentSpec:
     )
 
 
-def serving_assemble(report: RunReport) -> dict:
-    """Reshape to ``{system: [(qps, slo payload), ...]}`` in grid order."""
+def group_by(report: RunReport, *keys: str) -> dict:
+    """Reshape to ``{series: [(x, payload), ...]}`` in grid order.
+
+    The last key is the x-axis; the keys before it form the series — its
+    value alone for one key, a tuple of values for several.
+    """
     out: dict = {}
-    for (system, qps), value in report.mapping("system", "qps").items():
-        out.setdefault(system, []).append((qps, value))
+    for (*series, x), value in report.mapping(*keys).items():
+        key = series[0] if len(series) == 1 else tuple(series)
+        out.setdefault(key, []).append((x, value))
     return out
 
 
@@ -494,14 +499,6 @@ def scaling_spec(smoke: bool = False) -> ExperimentSpec:
     )
 
 
-def scaling_assemble(report: RunReport) -> dict:
-    """Reshape to ``{router: [(replicas, payload), ...]}`` in grid order."""
-    out: dict = {}
-    for (router, replicas), value in report.mapping("router", "replicas").items():
-        out.setdefault(router, []).append((replicas, value))
-    return out
-
-
 def scaling_render(data: dict) -> tuple[list[str], list[list]]:
     header = [
         "router", "replicas", "goodput (req/s)", "SLO attainment",
@@ -596,14 +593,6 @@ def disaggregation_spec(smoke: bool = False) -> ExperimentSpec:
     )
 
 
-def disaggregation_assemble(report: RunReport) -> dict:
-    """Reshape to ``{nodes: [(qps, payload), ...]}`` in grid order."""
-    out: dict = {}
-    for (nodes, qps), value in report.mapping("nodes", "qps").items():
-        out.setdefault(nodes, []).append((qps, value))
-    return out
-
-
 def disaggregation_render(data: dict) -> tuple[list[str], list[list]]:
     header = [
         "fleet", "qps", "goodput (req/s)", "SLO attainment",
@@ -688,15 +677,6 @@ def ttft_tradeoff_spec(smoke: bool = False) -> ExperimentSpec:
         },
         fixed=CHUNKING_LOAD,
     )
-
-
-def ttft_tradeoff_assemble(report: RunReport) -> dict:
-    """Reshape to ``{(system, scheduler): [(budget, payload), ...]}``."""
-    out: dict = {}
-    mapping = report.mapping("system", "scheduler", "chunk_budget")
-    for (system, scheduler, budget), value in mapping.items():
-        out.setdefault((system, scheduler), []).append((budget, value))
-    return out
 
 
 def ttft_tradeoff_render(data: dict) -> tuple[list[str], list[list]]:
@@ -850,14 +830,6 @@ def prefix_cache_spec(smoke: bool = False) -> ExperimentSpec:
     )
 
 
-def prefix_reuse_assemble(report: RunReport) -> dict:
-    """Reshape to ``{scheduler: [(qps, payload), ...]}`` in grid order."""
-    out: dict = {}
-    for (scheduler, qps), value in report.mapping("scheduler", "qps").items():
-        out.setdefault(scheduler, []).append((qps, value))
-    return out
-
-
 def prefix_reuse_render(data: dict) -> tuple[list[str], list[list]]:
     header = [
         "policy", "sessions/s", "goodput (req/s)", "SLO attainment",
@@ -944,15 +916,6 @@ def cross_replica_prefix_spec(smoke: bool = False) -> ExperimentSpec:
     )
 
 
-def cross_replica_prefix_assemble(report: RunReport) -> dict:
-    """Reshape to ``{router: [(replicas, payload), ...]}`` in grid order."""
-    out: dict = {}
-    mapping = report.mapping("router", "replicas")
-    for (router, replicas), value in mapping.items():
-        out.setdefault(router, []).append((replicas, value))
-    return out
-
-
 def cross_replica_prefix_render(data: dict) -> tuple[list[str], list[list]]:
     header = [
         "router", "replicas", "goodput (req/s)", "SLO attainment",
@@ -975,14 +938,6 @@ def cross_replica_prefix_render(data: dict) -> tuple[list[str], list[list]]:
                 m["load_imbalance"],
             ])
     return header, rows
-
-
-def preemption_tradeoff_assemble(report: RunReport) -> dict:
-    """Reshape to ``{scheduler: [(qps, payload), ...]}`` in grid order."""
-    out: dict = {}
-    for (scheduler, qps), value in report.mapping("scheduler", "qps").items():
-        out.setdefault(scheduler, []).append((qps, value))
-    return out
 
 
 def preemption_tradeoff_render(data: dict) -> tuple[list[str], list[list]]:

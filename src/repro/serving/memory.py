@@ -581,6 +581,10 @@ class SharedPrefixTier:
         self.memory = memory
         self.block_size = block_size
         self.cost = cost
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every publish (a reused cluster's run starts cold)."""
         #: session_id -> (replica, block-aligned history tokens, publish clock)
         self._published: dict[int, tuple[int, int, float]] = {}
         #: lifetime pulls that went over the wire

@@ -393,8 +393,59 @@ class DepthSketch:
         return f"DepthSketch(n={self.count}, {kind})"
 
 
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class RunCounters:
+    """The summable counters of one serving run, declared once.
+
+    :class:`~repro.serving.engine.EngineTrace`, :class:`EngineStats` and
+    :class:`ServingReport` inherit these fields, and every merge adds
+    them through :meth:`sum` — so a counter added here reaches each run
+    record, each cluster merge and each report without another edit.
+    All default to zero: a policy without a cache, or a fleet without a
+    tier or a phase split, reports zeros rather than missing fields.
+    """
+
+    preemptions: int = 0  #: paged evictions (each implies one restore)
+    #: prefix-cache counters (all zero for schedulers without a cache)
+    cache_hit_tokens: int = 0
+    cache_miss_tokens: int = 0
+    cache_evictions: int = 0
+    #: shared-tier counters (all zero without a cross-replica tier)
+    remote_hit_tokens: int = 0
+    transferred_bytes: float = 0.0
+    kv_transfers: int = 0
+    #: disaggregation counters: prefill→decode KV handoffs the engine
+    #: *received* (all zero without a phase-split cluster upstream)
+    handoffs: int = 0
+    handoff_bytes: float = 0.0
+    #: seconds spent pricing work (makespan minus arrival idle); summed
+    #: across replicas in a merge, so divide per replica
+    busy_s: float = 0.0
+
+    def counters(self) -> "RunCounters":
+        """This record's counters alone, as a plain :class:`RunCounters`."""
+        return RunCounters(
+            **{
+                f.name: getattr(self, f.name)
+                for f in dataclasses.fields(RunCounters)
+            }
+        )
+
+    @staticmethod
+    def sum(parts: Iterable["RunCounters"]) -> "RunCounters":
+        """Field-wise sum, in part order (builtin ``sum`` per field, so
+        float counters add exactly as a hand-written merge would)."""
+        parts = list(parts)
+        return RunCounters(
+            **{
+                f.name: sum(getattr(p, f.name) for p in parts)
+                for f in dataclasses.fields(RunCounters)
+            }
+        )
+
+
 @dataclasses.dataclass(frozen=True)
-class ServingReport:
+class ServingReport(RunCounters):
     """Aggregate view of one trace served on one system.
 
     Holds a streaming :class:`RequestStats` instead of per-request
@@ -410,26 +461,11 @@ class ServingReport:
     max_queue_depth: int
     n_iterations: int  #: decode iterations the engine priced
     n_prefills: int  #: prefill events (admissions, chunks, or restores)
-    #: paged evictions (each pays a re-prefill); keyword-only so that
-    #: subclasses (ClusterReport) can keep required positional fields
-    n_preemptions: int = dataclasses.field(default=0, kw_only=True)
     #: time-weighted queue-depth sketch (p50/p99 companions to the exact
-    #: mean/max); optional so hand-built reports stay valid without one
+    #: mean/max); optional so hand-built reports stay valid without one;
+    #: keyword-only so that subclasses (ClusterReport) can keep required
+    #: positional fields
     depth: DepthSketch | None = dataclasses.field(default=None, kw_only=True)
-    #: prefix-cache counters (all zero for schedulers without a cache)
-    cache_hit_tokens: int = dataclasses.field(default=0, kw_only=True)
-    cache_miss_tokens: int = dataclasses.field(default=0, kw_only=True)
-    cache_evictions: int = dataclasses.field(default=0, kw_only=True)
-    #: shared-tier counters (all zero without a cross-replica tier)
-    remote_hit_tokens: int = dataclasses.field(default=0, kw_only=True)
-    transferred_bytes: float = dataclasses.field(default=0.0, kw_only=True)
-    kv_transfers: int = dataclasses.field(default=0, kw_only=True)
-    #: disaggregation counters (all zero without a phase-split fleet)
-    handoffs: int = dataclasses.field(default=0, kw_only=True)
-    handoff_bytes: float = dataclasses.field(default=0.0, kw_only=True)
-    #: seconds spent pricing work (makespan minus arrival idle); summed
-    #: across replicas in a cluster merge, so divide per replica
-    busy_s: float = dataclasses.field(default=0.0, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.stats.n and self.makespan_s <= 0:
@@ -462,13 +498,18 @@ class ServingReport:
             max_queue_depth=max_queue_depth,
             n_iterations=n_iterations,
             n_prefills=n_prefills,
-            n_preemptions=n_preemptions,
+            preemptions=n_preemptions,
             depth=depth,
         )
 
     @property
     def n_requests(self) -> int:
         return self.stats.n
+
+    @property
+    def n_preemptions(self) -> int:
+        """Paged evictions (each paid a re-prefill)."""
+        return self.preemptions
 
     @property
     def generated_tokens(self) -> int:
@@ -591,7 +632,7 @@ class ServingReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class EngineStats:
+class EngineStats(RunCounters):
     """Streaming outcome of one engine run (the O(1)-memory EngineTrace).
 
     What :meth:`ServingEngine.serve_stats` returns: the per-request
@@ -607,17 +648,7 @@ class EngineStats:
     max_queue_depth: int
     n_iterations: int
     n_prefills: int
-    preemptions: int = 0
     depth: DepthSketch | None = None
-    cache_hit_tokens: int = 0
-    cache_miss_tokens: int = 0
-    cache_evictions: int = 0
-    remote_hit_tokens: int = 0
-    transferred_bytes: float = 0.0
-    kv_transfers: int = 0
-    handoffs: int = 0
-    handoff_bytes: float = 0.0
-    busy_s: float = 0.0
 
     @property
     def makespan_s(self) -> float:
@@ -631,17 +662,8 @@ class EngineStats:
             max_queue_depth=self.max_queue_depth,
             n_iterations=self.n_iterations,
             n_prefills=self.n_prefills,
-            n_preemptions=self.preemptions,
             depth=self.depth,
-            cache_hit_tokens=self.cache_hit_tokens,
-            cache_miss_tokens=self.cache_miss_tokens,
-            cache_evictions=self.cache_evictions,
-            remote_hit_tokens=self.remote_hit_tokens,
-            transferred_bytes=self.transferred_bytes,
-            kv_transfers=self.kv_transfers,
-            handoffs=self.handoffs,
-            handoff_bytes=self.handoff_bytes,
-            busy_s=self.busy_s,
+            **vars(self.counters()),
         )
 
     @classmethod
@@ -672,15 +694,6 @@ class EngineStats:
             max_queue_depth=max(p.max_queue_depth for p in parts),
             n_iterations=sum(p.n_iterations for p in parts),
             n_prefills=sum(p.n_prefills for p in parts),
-            preemptions=sum(p.preemptions for p in parts),
             depth=DepthSketch.merge(depths, capacity) if depths else None,
-            cache_hit_tokens=sum(p.cache_hit_tokens for p in parts),
-            cache_miss_tokens=sum(p.cache_miss_tokens for p in parts),
-            cache_evictions=sum(p.cache_evictions for p in parts),
-            remote_hit_tokens=sum(p.remote_hit_tokens for p in parts),
-            transferred_bytes=sum(p.transferred_bytes for p in parts),
-            kv_transfers=sum(p.kv_transfers for p in parts),
-            handoffs=sum(p.handoffs for p in parts),
-            handoff_bytes=sum(p.handoff_bytes for p in parts),
-            busy_s=sum(p.busy_s for p in parts),
+            **vars(RunCounters.sum(parts)),
         )

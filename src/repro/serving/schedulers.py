@@ -63,6 +63,7 @@ from repro.serving.memory import (
     PrefixBlockPool,
     validate_capacity,
 )
+from repro.serving.metrics import RequestTiming, RunCounters
 from repro.workloads.requests import TimedRequest
 from repro.workloads.serving import clamped_stride
 
@@ -120,6 +121,25 @@ class RunningRequest:
     def priced_context(self) -> int:
         """Current context, anchored to the stride grid for pricing."""
         return self.input_len + (self.generated // self.stride) * self.stride
+
+    def timing(self) -> RequestTiming:
+        """This request's lifecycle record (final once it has finished)."""
+        return RequestTiming(
+            request_id=self.timed.request_id,
+            input_len=self.input_len,
+            output_len=self.output_len,
+            arrival_s=self.timed.arrival_s,
+            admitted_s=self.admitted_s,
+            first_token_s=self.first_token_s,
+            finished_s=self.finished_s,
+            preemptions=self.preemptions,
+            cached_tokens=self.cached_tokens,
+            remote_tokens=self.remote_tokens,
+        )
+
+
+#: the counters of a policy without a prefix cache (shared: immutable)
+_NO_COUNTERS = RunCounters()
 
 
 class Scheduler(abc.ABC):
@@ -245,40 +265,18 @@ class Scheduler(abc.ABC):
         """
         return 0
 
-    # Prefix-cache counters, read by the engine for gauges and the run
-    # record.  Zero for every policy without a cache, so the fields they
-    # feed keep their defaults and traces stay comparable across
-    # policies.
+    def counters(self) -> RunCounters:
+        """This policy's lifetime prefix-cache and shared-tier counters.
 
-    @property
-    def cache_hit_tokens(self) -> int:
-        """Lifetime prefill tokens served from a prefix cache."""
-        return 0
+        Read by the engine for its gauges and its run record, which adds
+        the engine-owned counters (preemptions, handoffs, busy time).
+        Every policy without a cache returns the zero record, so traces
+        stay comparable across policies.
+        """
+        return _NO_COUNTERS
 
-    @property
-    def cache_miss_tokens(self) -> int:
-        """Lifetime prefill tokens actually computed under a prefix cache."""
-        return 0
-
-    @property
-    def cache_evictions(self) -> int:
-        """Lifetime cached blocks reclaimed to make room for live KV."""
-        return 0
-
-    @property
-    def remote_hit_tokens(self) -> int:
-        """Lifetime prefill tokens pulled from another replica's cache."""
-        return 0
-
-    @property
-    def transferred_bytes(self) -> float:
-        """Lifetime KV bytes pulled over the inter-replica link."""
-        return 0.0
-
-    @property
-    def kv_transfers(self) -> int:
-        """Lifetime cross-replica prefix pulls."""
-        return 0
+    def reset(self) -> None:
+        """Forget every previous run (the engine calls this per serve)."""
 
     def iteration_shape(
         self, running: Sequence[RunningRequest]
@@ -691,6 +689,9 @@ class PagedScheduler(Scheduler):
     def release(self, request: RunningRequest) -> None:
         self.pool.release(request.timed.request_id)
 
+    def reset(self) -> None:
+        self.pool = BlockPool(self.memory, self.capacity_bytes, self.block_size)
+
     @property
     def blocks_in_use(self) -> int:
         return self.pool.blocks_in_use
@@ -796,29 +797,25 @@ class PrefixCachingScheduler(PagedScheduler):
             )
         self.pool.release(request.timed.request_id)
 
-    @property
-    def cache_hit_tokens(self) -> int:
-        return self.pool.cache.hit_tokens
+    def reset(self) -> None:
+        """A fresh pool and cache, still joined to the cluster's tier."""
+        tier, replica = self.pool.tier, self.pool.replica
+        self.pool = PrefixBlockPool(
+            self.memory, self.capacity_bytes, self.block_size
+        )
+        if tier is not None:
+            self.pool.attach_tier(tier, replica)
 
-    @property
-    def cache_miss_tokens(self) -> int:
-        return self.pool.cache.miss_tokens
-
-    @property
-    def cache_evictions(self) -> int:
-        return self.pool.cache.evictions
-
-    @property
-    def remote_hit_tokens(self) -> int:
-        return self.pool.remote_hit_tokens
-
-    @property
-    def transferred_bytes(self) -> float:
-        return self.pool.transferred_bytes
-
-    @property
-    def kv_transfers(self) -> int:
-        return self.pool.kv_transfers
+    def counters(self) -> RunCounters:
+        pool = self.pool
+        return RunCounters(
+            cache_hit_tokens=pool.cache.hit_tokens,
+            cache_miss_tokens=pool.cache.miss_tokens,
+            cache_evictions=pool.cache.evictions,
+            remote_hit_tokens=pool.remote_hit_tokens,
+            transferred_bytes=pool.transferred_bytes,
+            kv_transfers=pool.kv_transfers,
+        )
 
 
 class OverlapScheduler(ChunkedPrefillScheduler):

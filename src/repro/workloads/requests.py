@@ -8,6 +8,7 @@ also produces randomized traces for stress tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -89,16 +90,24 @@ class TimedRequest:
     handoff_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time must be non-negative")
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
+            raise ValueError(
+                "arrival time must be finite and non-negative, "
+                f"got {self.arrival_s}"
+            )
         if self.prefilled_tokens not in (0, self.request.input_len):
             raise ValueError(
                 "prefilled_tokens is all-or-nothing: 0 or the full "
                 f"input_len, got {self.prefilled_tokens} of "
                 f"{self.request.input_len}"
             )
-        if self.handoff_s < 0 or self.handoff_bytes < 0:
-            raise ValueError("handoff cost fields must be non-negative")
+        if not all(
+            math.isfinite(x) and x >= 0
+            for x in (self.handoff_s, self.handoff_bytes)
+        ):
+            raise ValueError(
+                "handoff cost fields must be finite and non-negative"
+            )
         if self.prefilled_tokens == 0 and (
             self.handoff_s or self.handoff_bytes
         ):
@@ -143,6 +152,8 @@ class Trace:
         arrivals = [r.arrival_s for r in self.requests]
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
             raise ValueError("trace arrivals must be non-decreasing")
+        if len({r.request_id for r in self.requests}) != len(self.requests):
+            raise ValueError("trace request ids must be unique")
 
     @property
     def n_requests(self) -> int:

@@ -1,5 +1,7 @@
 """Arrival processes, length distributions, and trace replay files."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.serving.arrivals import (
     gamma_trace,
     load_trace,
     lognormal_lengths,
+    multiturn_chat_trace,
     poisson_trace,
     save_trace,
     static_trace,
@@ -79,6 +82,24 @@ class TestArrivalProcesses:
             poisson_trace(0.0, 10)
         with pytest.raises(ValueError):
             gamma_trace(1.0, 10, cv=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: poisson_trace(x, 5),
+            lambda x: gamma_trace(x, 5),
+            lambda x: gamma_trace(1.0, 5, cv=x),
+            lambda x: multiturn_chat_trace(x, 2),
+            lambda x: multiturn_chat_trace(1.0, 2, think_s=x),
+        ],
+        ids=["poisson-qps", "gamma-qps", "gamma-cv", "chat-qps", "chat-think"],
+    )
+    def test_non_finite_rates_rejected(self, build, bad):
+        """Regression: a NaN rate once built a trace of NaN arrivals
+        (and the engine then spun forever on it)."""
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
 
 
 class TestTraceReplay:

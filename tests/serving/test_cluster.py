@@ -15,6 +15,7 @@ from repro.serving import (
     build_cluster,
     build_scheduler,
     gamma_trace,
+    multiturn_chat_trace,
     poisson_trace,
 )
 from repro.serving.experiments import cluster_slo, cluster_spec, scaling_spec
@@ -251,6 +252,46 @@ class TestDeterminism:
         second = cluster.serve(trace)
         assert first.assignments == second.assignments
         assert second.merged() == first.merged()
+
+    def test_reused_prefix_tier_cluster_serves_like_a_fresh_one(
+        self, pimba_system, zamba_spec
+    ):
+        """serve() and run() also start every replica's prefix cache and
+        the shared tier cold (regression: a second run counted the
+        first run's cached blocks as hits)."""
+        trace = multiturn_chat_trace(2.0, 20, seed=0)
+
+        def fleet():
+            return build_cluster(
+                pimba_system, zamba_spec, 4, router="cache-aware",
+                scheduler="prefix", shared_tier=True,
+            )
+
+        fresh = fleet().serve(trace).merged()
+        assert fresh.remote_hit_tokens > 0  # the tier was exercised
+        cluster = fleet()
+        cluster.serve(trace)
+        assert cluster.serve(trace).merged() == fresh
+        assert cluster.run(trace) == fleet().run(trace)
+
+    def test_reused_bare_engine_serves_like_a_fresh_one(
+        self, pimba_system, zamba_spec
+    ):
+        """A bare prefix engine resets its scheduler on every serve."""
+        trace = multiturn_chat_trace(2.0, 20, seed=0)
+
+        def engine():
+            return ServingEngine(
+                pimba_system, zamba_spec,
+                build_scheduler("prefix", pimba_system, zamba_spec),
+            )
+
+        fresh = engine().serve(trace)
+        assert fresh.cache_hit_tokens > 0
+        reused = engine()
+        reused.serve(trace)
+        assert reused.serve(trace) == fresh
+        assert reused.run(trace) == engine().run(trace)
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_trial_function_is_pure(self, router):

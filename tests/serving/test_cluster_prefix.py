@@ -213,6 +213,22 @@ class TestEmptyTraceEquivalence:
         assert math.isnan(report.ttft_percentile(99))
         assert all(r.stats is None for r in report.per_replica)
 
+    def test_cluster_run_keeps_the_sketch_capacity_on_empty(
+        self, pimba_system, zamba_spec
+    ):
+        """Regression: an empty cluster run sized its request reservoir
+        at the default capacity, not the one asked for."""
+        empty = Trace(())
+        bare = ServingEngine(
+            pimba_system, zamba_spec,
+            build_scheduler("fcfs", pimba_system, zamba_spec),
+        ).serve_stats(empty, sketch_capacity=64)
+        report = build_cluster(pimba_system, zamba_spec, 1).run(
+            empty, sketch_capacity=64
+        )
+        assert report.stats == bare.report().stats
+        assert report.stats.capacity == 64
+
 
 def paired_pools(memory, cost, n=2):
     """n roomy pools joined by one tier priced through ``cost``."""

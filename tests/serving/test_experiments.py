@@ -7,13 +7,12 @@ from repro.serving.arrivals import poisson_trace, save_trace
 from repro.serving.experiments import (
     CHUNK_BUDGET_GRID,
     chunking_spec,
+    group_by,
     replay_spec,
-    serving_assemble,
     serving_render,
     serving_slo,
     serving_spec,
     trace_fingerprint,
-    ttft_tradeoff_assemble,
     ttft_tradeoff_render,
     ttft_tradeoff_spec,
 )
@@ -73,7 +72,7 @@ class TestSweepSpecs:
         report = Runner(use_cache=False, max_workers=1).run(
             serving_spec(smoke=True)
         )
-        data = serving_assemble(report)
+        data = group_by(report, "system", "qps")
         assert set(data) == {"GPU", "Pimba"}
         header, rows = serving_render(data)
         assert header[0] == "system" and len(rows) == 2
@@ -99,7 +98,7 @@ class TestPrefillShapingSpecs:
         report = Runner(use_cache=False, max_workers=1).run(
             ttft_tradeoff_spec(smoke=True)
         )
-        data = ttft_tradeoff_assemble(report)
+        data = group_by(report, "system", "scheduler", "chunk_budget")
         assert set(data) == {("GPU", "overlap"), ("Pimba", "overlap")}
         header, rows = ttft_tradeoff_render(data)
         assert header[:3] == ["system", "scheduler", "chunk budget"]

@@ -1,9 +1,17 @@
 """SLO metrics: timings, percentiles, goodput, report payloads."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.serving.cluster import ClusterTrace
+from repro.serving.engine import EngineTrace
 from repro.serving.metrics import (
+    EngineStats,
+    RequestStats,
     RequestTiming,
+    RunCounters,
     ServingReport,
     SloSpec,
     percentile,
@@ -152,3 +160,84 @@ class TestEmptyReport:
         assert payload["n_requests"] == 0
         assert payload["goodput_rps"] == 0.0
         assert payload["max_queue_depth"] == 5
+
+
+def random_counters(rng: random.Random) -> RunCounters:
+    """Every declared counter, drawn at random (floats span magnitudes,
+    so a merge that reorders or regroups the additions shows up)."""
+    return RunCounters(
+        **{
+            f.name: (
+                rng.uniform(0, 1) * 10 ** rng.randrange(-3, 12)
+                if isinstance(f.default, float)
+                else rng.randrange(10**6)
+            )
+            for f in dataclasses.fields(RunCounters)
+        }
+    )
+
+
+def engine_stats(counters: RunCounters) -> EngineStats:
+    return EngineStats(
+        requests=RequestStats(),
+        start_s=0.0,
+        end_s=1.0,
+        mean_queue_depth=0.0,
+        max_queue_depth=0,
+        n_iterations=0,
+        n_prefills=0,
+        **vars(counters),
+    )
+
+
+def engine_trace(counters: RunCounters) -> EngineTrace:
+    return EngineTrace(
+        timings=(),
+        iteration_seconds=(),
+        decode_tokens=(),
+        prefill_seconds=(),
+        prefill_tokens=(),
+        start_s=0.0,
+        end_s=1.0,
+        mean_queue_depth=0.0,
+        max_queue_depth=0,
+        **vars(counters),
+    )
+
+
+class TestRunCounters:
+    """Every merge adds every declared counter, field by field."""
+
+    @staticmethod
+    def fieldwise_sum(parts) -> dict:
+        return {
+            f.name: sum(getattr(p, f.name) for p in parts)
+            for f in dataclasses.fields(RunCounters)
+        }
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_merges_are_fieldwise_sums(self, seed):
+        rng = random.Random(seed)
+        parts = [random_counters(rng) for _ in range(rng.randint(2, 5))]
+        want = self.fieldwise_sum(parts)
+        assert vars(RunCounters.sum(parts)) == want
+        merged = EngineStats.merge([engine_stats(c) for c in parts])
+        assert vars(merged.counters()) == want
+        replicas = [engine_trace(c) for c in parts]
+        record = ClusterTrace(
+            assignments=(), replicas=(None, *replicas), router="test"
+        )
+        assert vars(record.merged().counters()) == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_part_merge_is_the_identity(self, seed):
+        counters = random_counters(random.Random(seed))
+        stats = engine_stats(counters)
+        assert EngineStats.merge([stats]) is stats
+        trace = engine_trace(counters)
+        record = ClusterTrace(
+            assignments=(), replicas=(trace, None), router="test"
+        )
+        assert record.merged() is trace
+        assert trace.counters() == counters
+        assert stats.report().counters() == counters

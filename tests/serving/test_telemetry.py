@@ -453,6 +453,22 @@ class TestClusterTimeline:
         ).to_payload(SLO)
         assert watched == bare
 
+    def test_shared_tier_tracks_keep_remote_tokens(
+        self, pimba_system, zamba_spec
+    ):
+        """Each track's timings are its replica's record timings, down
+        to the remote-token share pulled over the shared tier
+        (regression: tracks once dropped ``remote_tokens``)."""
+        collector = TimelineCollector()
+        record = build_cluster(
+            pimba_system, zamba_spec, 4,
+            router="cache-aware", scheduler="prefix", shared_tier=True,
+        ).serve(multiturn_chat_trace(2.0, 20, seed=0), collector=collector)
+        assert record.merged().remote_hit_tokens > 0
+        for i, replica in enumerate(record.replicas):
+            track = collector.timeline.track(i)
+            assert tuple(track.timings()) == replica.timings
+
 
 class TestSplitClusterTimeline:
     """A disaggregated fleet's timeline carries the handoff story."""

@@ -1,5 +1,7 @@
 """Tests for request traces and the serving loop (perf + functional)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,29 @@ class TestTimedRequests:
             Trace((
                 TimedRequest(Request(0, 1, 1), 1.0),
                 TimedRequest(Request(1, 1, 1), 0.5),
+            ))
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, arrival):
+        """Regression: ``nan < 0`` is false, so a NaN arrival once got
+        through and hung the engine."""
+        with pytest.raises(ValueError, match="finite"):
+            TimedRequest(Request(0, 1, 1), arrival)
+
+    @pytest.mark.parametrize("field", ["handoff_s", "handoff_bytes"])
+    def test_non_finite_handoff_cost_rejected(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            TimedRequest(
+                Request(0, 4, 2), 0.0, prefilled_tokens=4, **{field: math.nan}
+            )
+
+    def test_duplicate_request_ids_rejected(self):
+        """Regression: duplicates served silently under ``fcfs`` and
+        crashed ``paged`` mid-run."""
+        with pytest.raises(ValueError, match="unique"):
+            Trace((
+                TimedRequest(Request(0, 1, 1), 0.0),
+                TimedRequest(Request(0, 2, 1), 1.0),
             ))
 
     def test_empty_trace_allowed(self):
